@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"wholegraph/internal/bench"
+	"wholegraph/internal/blockcache"
 )
 
 var experiments = []struct {
@@ -113,8 +114,20 @@ type jsonReport struct {
 // jsonStore is the aggregate BlockCache accounting for one paged-store kind
 // (features or topology) across every trainer the run built.
 type jsonStore struct {
-	bench.StoreCounters
+	blockcache.Counters
 	HitRate float64 `json:"hit_rate"`
+}
+
+// storeReport prints one paged-store kind's aggregate counters and returns
+// its -json block; nil when the run built no store of that kind.
+func storeReport(kind string, c blockcache.Counters) *jsonStore {
+	if c.Hits+c.Misses == 0 {
+		return nil
+	}
+	fmt.Printf("%s store: %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident\n",
+		kind, c.Hits, c.Misses, 100*c.HitRate(), c.Evictions,
+		c.PrefetchHits, c.AdmissionRejects, float64(c.ResidentBytes)/(1<<20))
+	return &jsonStore{Counters: c, HitRate: c.HitRate()}
 }
 
 type jsonExperiment struct {
@@ -239,18 +252,9 @@ func main() {
 		fmt.Printf("feature cache: %d hits / %d misses (%.1f%% hit rate)\n",
 			hits, misses, 100*report.CacheHit)
 	}
-	if c := bench.FeatStoreCounters(); c.Hits+c.Misses > 0 {
-		report.FeatStore = &jsonStore{StoreCounters: c, HitRate: c.HitRate()}
-		fmt.Printf("feature store: %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident\n",
-			c.Hits, c.Misses, 100*c.HitRate(), c.Evictions,
-			c.PrefetchHits, c.AdmissionRejects, float64(c.ResidentBytes)/(1<<20))
-	}
-	if c := bench.TopoStoreCounters(); c.Hits+c.Misses > 0 {
-		report.TopoStore = &jsonStore{StoreCounters: c, HitRate: c.HitRate()}
-		fmt.Printf("topology store: %d page hits / %d misses (%.1f%% hit rate), %d evictions, %d prefetch hits, %d admission rejects, %.1f MiB resident\n",
-			c.Hits, c.Misses, 100*c.HitRate(), c.Evictions,
-			c.PrefetchHits, c.AdmissionRejects, float64(c.ResidentBytes)/(1<<20))
-	}
+	feat, topo := bench.PagedStoreStats()
+	report.FeatStore = storeReport("feature", feat.Counters)
+	report.TopoStore = storeReport("topology", topo.Counters)
 	if g := bench.GraphCountersTotal(); g.Captures+g.Replays+g.Fallbacks > 0 {
 		report.Graph = &g
 		fmt.Printf("step graphs: %d captures / %d replays (%d scheduled), %d invalidations, %d fallbacks\n",

@@ -270,8 +270,7 @@ func newTrainer(fw Framework, nodes int, ds *dataset.Dataset, opts train.Options
 		tr, err = train.New(m, ds, opts)
 		if err == nil {
 			registerCaches(tr.Caches())
-			registerFeatStores(tr.FeatStores())
-			registerTopoStores(tr.TopoStores())
+			registerPagedStores(tr)
 		}
 	default:
 		err = fmt.Errorf("bench: unknown framework %q", fw)

@@ -7,9 +7,11 @@ import (
 	"strings"
 	"sync"
 
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/dataset"
 	"wholegraph/internal/featstore"
 	"wholegraph/internal/topostore"
+	"wholegraph/internal/train"
 )
 
 // FeatstoreVariantRow is one row of the paged-feature-store ablation: the
@@ -277,92 +279,34 @@ func fmtBytes(b int64) string {
 	}
 }
 
-// featAgg collects every paged feature store the harness builds (only when
-// Config.PagedFeatures asks for them), so the CLI can report aggregate
-// BlockCache counters in its -json output. Locked: experiment cells build
-// trainers concurrently under -parallel.
-var featAgg struct {
+// pagedAgg collects every paged store the harness builds (only when
+// Config.PagedFeatures / PagedTopo ask for them), so the CLI can report
+// aggregate BlockCache counters in its -json output. Locked: experiment
+// cells build trainers concurrently under -parallel.
+var pagedAgg struct {
 	sync.Mutex
-	stores []*featstore.Store
+	feat []*featstore.Store
+	topo []*topostore.Store
 }
 
-func registerFeatStores(ss []*featstore.Store) {
-	if len(ss) == 0 {
-		return
+func registerPagedStores(tr *train.Trainer) {
+	pagedAgg.Lock()
+	pagedAgg.feat = append(pagedAgg.feat, tr.FeatStores()...)
+	pagedAgg.topo = append(pagedAgg.topo, tr.TopoStores()...)
+	pagedAgg.Unlock()
+}
+
+// PagedStoreStats sums the BlockCache stats of every paged feature store
+// and every paged topology store built since process start. All zero
+// unless Config.PagedFeatures / PagedTopo were set.
+func PagedStoreStats() (feat, topo blockcache.Stats) {
+	pagedAgg.Lock()
+	defer pagedAgg.Unlock()
+	for _, s := range pagedAgg.feat {
+		feat.Add(s.Stats().Stats)
 	}
-	featAgg.Lock()
-	featAgg.stores = append(featAgg.stores, ss...)
-	featAgg.Unlock()
-}
-
-// StoreCounters aggregates BlockCache counters across every paged store of
-// one kind (features or topology) built since process start.
-type StoreCounters struct {
-	Hits             int64 `json:"hits"`
-	Misses           int64 `json:"misses"`
-	Evictions        int64 `json:"evictions"`
-	PrefetchHits     int64 `json:"prefetch_hits"`
-	AdmissionRejects int64 `json:"admission_rejects"`
-	ResidentBytes    int64 `json:"resident_bytes"`
-}
-
-// HitRate returns the fraction of page lookups served from a BlockCache.
-func (c StoreCounters) HitRate() float64 {
-	if c.Hits+c.Misses == 0 {
-		return 0
+	for _, s := range pagedAgg.topo {
+		topo.Add(s.Stats().Stats)
 	}
-	return float64(c.Hits) / float64(c.Hits+c.Misses)
-}
-
-// FeatStoreCounters sums BlockCache hits, misses, evictions, prefetch hits,
-// admission rejects and resident bytes across every paged feature store
-// built since process start. All zero unless Config.PagedFeatures was set.
-func FeatStoreCounters() StoreCounters {
-	featAgg.Lock()
-	defer featAgg.Unlock()
-	var c StoreCounters
-	for _, s := range featAgg.stores {
-		st := s.Stats()
-		c.Hits += st.Hits
-		c.Misses += st.Misses
-		c.Evictions += st.Evictions
-		c.PrefetchHits += st.PrefetchHits
-		c.AdmissionRejects += st.AdmissionRejects
-		c.ResidentBytes += st.ResidentBytes
-	}
-	return c
-}
-
-// topoAgg mirrors featAgg for the paged topology stores (built when
-// Config.PagedTopo asks for them).
-var topoAgg struct {
-	sync.Mutex
-	stores []*topostore.Store
-}
-
-func registerTopoStores(ss []*topostore.Store) {
-	if len(ss) == 0 {
-		return
-	}
-	topoAgg.Lock()
-	topoAgg.stores = append(topoAgg.stores, ss...)
-	topoAgg.Unlock()
-}
-
-// TopoStoreCounters sums BlockCache counters across every paged topology
-// store built since process start. All zero unless Config.PagedTopo was set.
-func TopoStoreCounters() StoreCounters {
-	topoAgg.Lock()
-	defer topoAgg.Unlock()
-	var c StoreCounters
-	for _, s := range topoAgg.stores {
-		st := s.Stats()
-		c.Hits += st.Hits
-		c.Misses += st.Misses
-		c.Evictions += st.Evictions
-		c.PrefetchHits += st.PrefetchHits
-		c.AdmissionRejects += st.AdmissionRejects
-		c.ResidentBytes += st.ResidentBytes
-	}
-	return c
+	return feat, topo
 }

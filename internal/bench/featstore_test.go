@@ -6,10 +6,7 @@ import (
 )
 
 func TestAblationFeatstore(t *testing.T) {
-	rows, err := AblationFeatstore(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := featstoreRun.get(t, AblationFeatstore)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
@@ -37,11 +34,7 @@ func TestAblationFeatstore(t *testing.T) {
 }
 
 func TestFeatstoreFull(t *testing.T) {
-	cfg := testCfg()
-	res, err := FeatstoreFull(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := featstoreFullRun.get(t, FeatstoreFull)
 	if res.Nodes <= 0 || res.EpochTime <= 0 {
 		t.Fatalf("empty result: %+v", res)
 	}

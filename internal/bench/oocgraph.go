@@ -122,8 +122,7 @@ func AblationOOCGraph(cfg Config) ([]OOCGraphRow, error) {
 			return err
 		}
 		tr.Stores = []*core.Store{store}
-		registerFeatStores(tr.FeatStores())
-		registerTopoStores(tr.TopoStores())
+		registerPagedStores(tr)
 		registerComm(m)
 		m.Reset() // measure training, not store setup
 		row := OOCGraphRow{Variant: v.name}

@@ -7,10 +7,7 @@ import "testing"
 // fixed byte budget prefetch+admission beats plain paged-LRU on both
 // virtual epoch time and hit rate.
 func TestAblationOOCGraph(t *testing.T) {
-	rows, err := AblationOOCGraph(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := oocGraphRun.get(t, AblationOOCGraph)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}

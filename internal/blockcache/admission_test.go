@@ -11,7 +11,7 @@ func TestAdmissionHotSetSurvivesScan(t *testing.T) {
 		scanLen  = 400
 	)
 	run := func(p Policy) (survived int, st CacheStats) {
-		c := NewBlockCacheWithPolicy(hotPages*108, p)
+		c := NewBlockCache(hotPages*108, p)
 		// Establish the hot set with repeated touches.
 		for round := 0; round < 20; round++ {
 			for id := int32(0); id < hotPages; id++ {
@@ -55,7 +55,7 @@ func TestAdmissionHotSetSurvivesScan(t *testing.T) {
 // demanded builds sketch frequency and is eventually admitted past an
 // equally-warm victim — admission must not permanently starve new pages.
 func TestAdmissionColdPageEventuallyAdmitted(t *testing.T) {
-	c := NewBlockCacheWithPolicy(2*108, PolicyAdmit)
+	c := NewBlockCache(2*108, PolicyAdmit)
 	for round := 0; round < 4; round++ {
 		for id := int32(0); id < 2; id++ {
 			if c.Get(id) == nil {
@@ -80,7 +80,7 @@ func TestAdmissionColdPageEventuallyAdmitted(t *testing.T) {
 // the op sequence — two caches fed the same accesses agree on counters
 // and on the resident set.
 func TestAdmissionDeterministic(t *testing.T) {
-	mk := func() *BlockCache { return NewBlockCacheWithPolicy(16*108, PolicyAdmit) }
+	mk := func() *BlockCache { return NewBlockCache(16*108, PolicyAdmit) }
 	a, b := mk(), mk()
 	x := uint64(12345)
 	for i := 0; i < 5000; i++ {
@@ -106,7 +106,7 @@ func TestAdmissionDeterministic(t *testing.T) {
 // TestPrefetchHitCounting: a prefetched page counts one PrefetchHit on
 // its first demand Get only; Contains never counts anything.
 func TestPrefetchHitCounting(t *testing.T) {
-	c := NewBlockCache(1000)
+	c := NewBlockCache(1000, PolicyLRU)
 	if !c.PutPrefetched(5, testPage(100)) {
 		t.Fatal("prefetched page not admitted")
 	}

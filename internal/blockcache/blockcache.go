@@ -1,9 +1,11 @@
-// Package blockcache is the byte-budgeted per-device page cache shared
-// by the out-of-core stores: internal/featstore (encoded feature pages)
-// and internal/topostore (decoded CSR column ranges). It provides plain
-// LRU replacement plus an opt-in TinyLFU-style frequency-sketch
-// admission policy, and per-cache hit/miss/eviction/prefetch/admission
-// counters.
+// Package blockcache is the paged-store core shared by the out-of-core
+// stores, internal/featstore (encoded feature rows) and internal/topostore
+// (CSR column ranges), which are thin codecs over it. PageStore owns the
+// per-device caches, the demand batch, copy-stream fault and prefetch
+// charging, the host-read memo and the stats; BlockCache is the
+// byte-budgeted per-device page cache beneath it, with plain LRU
+// replacement plus an opt-in TinyLFU-style frequency-sketch admission
+// policy, and hit/miss/eviction/prefetch/admission counters.
 package blockcache
 
 import (
@@ -66,7 +68,6 @@ type BlockCache struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
-	policy   Policy
 	sketch   *freqSketch
 	entries  map[int32]*blockEntry
 	// Doubly-linked LRU list threaded through the entries; head is the
@@ -86,25 +87,17 @@ type blockEntry struct {
 	prev, next *blockEntry
 }
 
-// NewBlockCache creates an LRU cache bounded to capacityBytes of page
-// payload (plus fixed per-page metadata). A single page larger than the
-// budget is still admitted — gathers must be able to proceed — so the
+// NewBlockCache creates a cache under policy p bounded to capacityBytes of
+// page payload (plus fixed per-page metadata). A single page larger than
+// the budget is still admitted — gathers must be able to proceed — so the
 // effective floor is one page.
-func NewBlockCache(capacityBytes int64) *BlockCache {
-	return NewBlockCacheWithPolicy(capacityBytes, PolicyLRU)
-}
-
-// NewBlockCacheWithPolicy is NewBlockCache with an explicit policy.
-func NewBlockCacheWithPolicy(capacityBytes int64, p Policy) *BlockCache {
-	c := &BlockCache{capacity: capacityBytes, policy: p, entries: make(map[int32]*blockEntry)}
+func NewBlockCache(capacityBytes int64, p Policy) *BlockCache {
+	c := &BlockCache{capacity: capacityBytes, entries: make(map[int32]*blockEntry)}
 	if p == PolicyAdmit {
 		c.sketch = newFreqSketch()
 	}
 	return c
 }
-
-// Policy returns the cache's replacement/admission policy.
-func (c *BlockCache) Policy() Policy { return c.policy }
 
 // Get returns the cached block and promotes it to most-recently-used, or
 // nil on a miss. Hit/miss counters track demand lookups; with PolicyAdmit
@@ -217,16 +210,9 @@ func (c *BlockCache) unlink(e *blockEntry) {
 
 // CacheStats is a point-in-time snapshot of one BlockCache.
 type CacheStats struct {
-	Hits, Misses, Evictions int64
-	// PrefetchHits counts demand lookups served by a page that a prefetch
-	// faulted in ahead of time (each prefetched page counts at most once).
-	PrefetchHits int64
-	// AdmissionRejects counts candidate pages the PolicyAdmit sketch kept
-	// out of the resident set. Always zero under PolicyLRU.
-	AdmissionRejects int64
-	ResidentBytes    int64
-	ResidentPages    int
-	CapacityBytes    int64
+	Counters
+	ResidentPages int
+	CapacityBytes int64
 }
 
 // Stats snapshots the cache counters.
@@ -234,9 +220,11 @@ func (c *BlockCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		PrefetchHits: c.prefetchHits, AdmissionRejects: c.admissionRejects,
-		ResidentBytes: c.bytes, ResidentPages: len(c.entries),
-		CapacityBytes: c.capacity,
+		Counters: Counters{
+			Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
+			PrefetchHits: c.prefetchHits, AdmissionRejects: c.admissionRejects,
+			ResidentBytes: c.bytes,
+		},
+		ResidentPages: len(c.entries), CapacityBytes: c.capacity,
 	}
 }

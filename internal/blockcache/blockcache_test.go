@@ -14,7 +14,7 @@ func testPage(bytes int) Block { return testBlock{int64(bytes)} }
 
 func TestBlockCacheLRU(t *testing.T) {
 	// Each page costs 100 data bytes + 8 metadata; capacity fits 3.
-	c := NewBlockCache(330)
+	c := NewBlockCache(330, PolicyLRU)
 	for id := int32(0); id < 3; id++ {
 		if c.Get(id) != nil {
 			t.Fatalf("page %d resident before put", id)
@@ -50,7 +50,7 @@ func TestBlockCacheLRU(t *testing.T) {
 // TestBlockCacheOversizedPage: a single page above the budget is admitted
 // (gathers must proceed) and evicts everything else.
 func TestBlockCacheOversizedPage(t *testing.T) {
-	c := NewBlockCache(200)
+	c := NewBlockCache(200, PolicyLRU)
 	c.Put(0, testPage(100))
 	c.Put(1, testPage(500))
 	if c.Get(1) == nil {
@@ -64,7 +64,7 @@ func TestBlockCacheOversizedPage(t *testing.T) {
 // TestBlockCacheDoublePut: a racing second put of the same page keeps the
 // resident copy and does not double-count bytes.
 func TestBlockCacheDoublePut(t *testing.T) {
-	c := NewBlockCache(1000)
+	c := NewBlockCache(1000, PolicyLRU)
 	c.Put(7, testPage(100))
 	c.Put(7, testPage(100))
 	st := c.Stats()
@@ -83,7 +83,7 @@ func TestBlockCacheConcurrent(t *testing.T) {
 		ops     = 2000
 		pages   = 64
 	)
-	c := NewBlockCache(20 * 108) // ~20 resident of 64 hot pages
+	c := NewBlockCache(20*108, PolicyLRU) // ~20 resident of 64 hot pages
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -218,6 +218,10 @@ type Loader struct {
 	next int
 	// pending is set between Prefetch and Collect.
 	pending bool
+
+	// Page-prefetch scratch: the predicted page ids and their dedupe set.
+	pfIDs  []int32
+	pfSeen map[int32]struct{}
 }
 
 // NewLoader creates a loader on dev sampling with the given per-layer
@@ -229,6 +233,7 @@ func NewLoader(s *Store, dev *sim.Device, fanouts []int, seed int64) *Loader {
 		Fanouts: fanouts,
 		sampler: sampling.NewGPUSampler(s.PG, dev, seed),
 		rng:     rand.New(rand.NewSource(seed ^ 0x5eed)),
+		pfSeen:  make(map[int32]struct{}),
 	}
 }
 
@@ -351,12 +356,13 @@ func (l *Loader) Release() {
 
 // PrefetchPages predicts which paged-store pages the batch for `targets`
 // will touch — the first sampling hop's column ranges and the targets'
-// feature rows — and faults up to maxPages of each (topology, features)
-// on the copy stream ahead of demand, without blocking compute. The
-// prediction is a heuristic over host-readable metadata (degrees, row
-// indices); it never advances the sampler RNG, so batch contents are
-// unchanged — hit rates and virtual time are the only effect. Returns
-// the number of pages actually faulted. No-op on fully resident stores.
+// feature rows — and faults the first maxPages distinct pages of each
+// store (topology, features) on the copy stream ahead of demand, without
+// blocking compute. The prediction is a heuristic over host-readable
+// metadata (degrees, row indices); it never advances the sampler RNG, so
+// batch contents are unchanged — hit rates and virtual time are the only
+// effect. Returns the number of pages actually faulted. No-op on fully
+// resident stores.
 func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 	if maxPages <= 0 {
 		return 0
@@ -365,20 +371,11 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 	var total int
 	if ts := pg.PagedTopo(); ts != nil && len(l.Fanouts) > 0 {
 		fan := int64(l.Fanouts[0])
-		seen := make(map[int32]struct{}, maxPages)
-		ids := make([]int32, 0, maxPages)
-		add := func(id int32) {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				ids = append(ids, id)
-			}
-		}
-	predict:
-		for _, v := range targets {
+		total += ts.PrefetchPages(l.Dev, l.predictPages(targets, maxPages, func(v int64) (lo, hi int32) {
 			gid := pg.Owner[v]
 			deg := pg.Degree(gid)
 			if deg == 0 {
-				continue
+				return 0, -1 // no pages
 			}
 			e0 := pg.EdgeIndex(gid, 0)
 			last := e0
@@ -388,23 +385,37 @@ func (l *Loader) PrefetchPages(targets []int64, maxPages int) int {
 			}
 			// Hubs get their first page only — sampled positions are
 			// scattered and prefetching a hub's whole list would thrash.
-			for id := ts.PageOf(e0); id <= ts.PageOf(last); id++ {
-				if len(ids) >= maxPages {
-					break predict
-				}
-				add(id)
-			}
-		}
-		total += ts.PrefetchPages(l.Dev, ids)
+			return ts.PageOf(e0), ts.PageOf(last)
+		}))
 	}
 	if fs := l.Store.FeatStore(); fs != nil {
-		rows := make([]int64, len(targets))
-		for i, v := range targets {
-			rows[i] = pg.FeatRow(pg.Owner[v])
-		}
-		total += fs.PrefetchRows(l.Dev, rows, maxPages)
+		total += fs.PrefetchPages(l.Dev, l.predictPages(targets, maxPages, func(v int64) (lo, hi int32) {
+			id := fs.PageOf(pg.FeatRow(pg.Owner[v]))
+			return id, id
+		}))
 	}
 	return total
+}
+
+// predictPages returns, in the loader's scratch, the first maxPages
+// distinct pages of the ranges [lo, hi] that span yields for targets in
+// order.
+func (l *Loader) predictPages(targets []int64, maxPages int, span func(v int64) (lo, hi int32)) []int32 {
+	clear(l.pfSeen)
+	l.pfIDs = l.pfIDs[:0]
+	for _, v := range targets {
+		lo, hi := span(v)
+		for id := lo; id <= hi; id++ {
+			if len(l.pfIDs) >= maxPages {
+				return l.pfIDs
+			}
+			if _, ok := l.pfSeen[id]; !ok {
+				l.pfSeen[id] = struct{}{}
+				l.pfIDs = append(l.pfIDs, id)
+			}
+		}
+	}
+	return l.pfIDs
 }
 
 // buildInto runs the sample/dedup/gather chain for targets into slot s,

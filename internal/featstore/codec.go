@@ -1,10 +1,12 @@
 // Package featstore is a paged, compressed, columnar feature store: the
 // out-of-core backing for node features too large for the flat in-memory
 // slab (ogbn-papers100M at full scale is ~57 GB of float32). Rows live in
-// fixed-size pages encoded with one of three codecs; each GPU keeps a
-// byte-budgeted LRU BlockCache of decoded-on-read pages in its HBM, and a
-// page miss pays the Unified-Memory page-fault cost on the device's copy
-// stream (the PR-3 dual-stream model), while a hit pays only local HBM.
+// fixed-size pages encoded with one of three codecs, served by the
+// internal/blockcache page-store core: each GPU keeps a byte-budgeted
+// cache of encoded pages in its HBM, decoded on read; a page miss pays
+// the Unified-Memory page-fault cost on the device's copy stream, while
+// a hit pays only local HBM. This package holds the codecs, the page
+// spill, and the decode kernel.
 //
 // The raw encoding is bit-exact — training through the store produces
 // losses bit-identical to the flat slab — while the float16 and 8-bit
@@ -15,8 +17,6 @@ package featstore
 import (
 	"fmt"
 	"math"
-
-	"wholegraph/internal/sim"
 )
 
 // Encoding selects the page codec.
@@ -91,14 +91,10 @@ type page struct {
 	// minV and maxV bound the page's values; Quant8 decodes against them.
 	minV, maxV float32
 	rows       int
-	// ready is the copy-stream event after which the page is resident on
-	// its device (zero — always in the past — for demand faults, which
-	// wait inline; set by PrefetchRows so a demand hit on an in-flight
-	// prefetch joins the migration instead of time-traveling).
-	ready sim.Event
 }
 
-// CacheBytes implements Block: encoded payload plus page metadata.
+// CacheBytes implements blockcache.Block: encoded payload plus page
+// metadata.
 func (p *page) CacheBytes() int64 { return int64(len(p.data)) + 8 }
 
 // encodePage encodes src (rows*dim float32s, row-major) with enc. The

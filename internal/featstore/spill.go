@@ -67,29 +67,28 @@ func (s *Store) Spill(w io.Writer) error {
 	// Index first (fixed-size records), then payloads in page order. Two
 	// encode passes — one to size the index, one to stream payloads —
 	// keep resident memory at one page regardless of store size.
+	nPages := int32(s.NumPages())
 	var buf []float32
-	var off int64
-	if err := binary.Write(cw, binary.LittleEndian, int64(s.nPages)); err != nil {
+	encode := func(id int32) *page {
+		lo := int64(id) * int64(s.opts.PageRows)
+		var pg *page
+		pg, buf = s.encodeRows(lo, min(lo+int64(s.opts.PageRows), s.nRows), buf)
+		return pg
+	}
+	if err := binary.Write(cw, binary.LittleEndian, int64(nPages)); err != nil {
 		return err
 	}
-	metas := make([]spillPageMeta, 0, s.nPages)
-	for id := int32(0); id < s.nPages; id++ {
-		var pg *page
-		pg, buf = s.encodePageInto(id, buf)
-		metas = append(metas, spillPageMeta{
-			Off: off, Rows: int32(pg.rows), Min: pg.minV, Max: pg.maxV,
-		})
-		off += int64(len(pg.data))
-	}
-	for _, m := range metas {
+	var off int64
+	for id := int32(0); id < nPages; id++ {
+		pg := encode(id)
+		m := spillPageMeta{Off: off, Rows: int32(pg.rows), Min: pg.minV, Max: pg.maxV}
 		if err := binary.Write(cw, binary.LittleEndian, m); err != nil {
 			return err
 		}
+		off += int64(len(pg.data))
 	}
-	for id := int32(0); id < s.nPages; id++ {
-		var pg *page
-		pg, buf = s.encodePageInto(id, buf)
-		if err := dataset.WriteBytes(cw, pg.data); err != nil {
+	for id := int32(0); id < nPages; id++ {
+		if err := dataset.WriteBytes(cw, encode(id).data); err != nil {
 			return err
 		}
 	}
@@ -168,36 +167,54 @@ func LoadSpill(r io.Reader) (*Spilled, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hdr.PageRows <= 0 || hdr.Dim <= 0 || hdr.Rows < 0 {
+	if hdr.PageRows <= 0 || hdr.Dim <= 0 || hdr.Dim > math.MaxInt32/4 || hdr.Rows < 0 {
 		return nil, fmt.Errorf("featstore: corrupt spill header %+v", hdr)
 	}
 	var nPages int64
 	if err := binary.Read(cr, binary.LittleEndian, &nPages); err != nil {
 		return nil, err
 	}
-	wantPages := (hdr.Rows + int64(hdr.PageRows) - 1) / int64(hdr.PageRows)
-	if nPages != wantPages || nPages > math.MaxInt32 {
+	pageRows := int64(hdr.PageRows)
+	wantPages := (hdr.Rows + pageRows - 1) / pageRows
+	if nPages != wantPages || nPages < 0 || nPages > math.MaxInt32 {
 		return nil, fmt.Errorf("featstore: spill has %d pages, header implies %d", nPages, wantPages)
 	}
-	metas := make([]spillPageMeta, nPages)
-	if err := binary.Read(cr, binary.LittleEndian, metas); err != nil {
-		return nil, err
+	rowBytes := int64(hdr.Dim) * int64(enc.BytesPerElem())
+	if pageRows > math.MaxInt32/rowBytes {
+		return nil, fmt.Errorf("featstore: corrupt spill header %+v", hdr)
 	}
-	sp := &Spilled{
-		Enc: enc, PageRows: hdr.PageRows, Rows: hdr.Rows, D: hdr.Dim,
-		pages: make([]*page, nPages),
-	}
+	// The index is read entry by entry, so storage grows with the bytes
+	// actually present rather than with the header's page count. Every
+	// entry must describe exactly the page the header implies: PageRows
+	// rows (fewer only for the last page) at the running payload offset.
+	var metas []spillPageMeta
 	var wantOff int64
+	for i := int64(0); i < nPages; i++ {
+		var m spillPageMeta
+		if err := binary.Read(cr, binary.LittleEndian, &m); err != nil {
+			return nil, fmt.Errorf("featstore: reading page index entry %d: %w", i, err)
+		}
+		rows := min(pageRows, hdr.Rows-i*pageRows)
+		if int64(m.Rows) != rows || m.Off != wantOff {
+			return nil, fmt.Errorf("featstore: page %d index entry (%d rows at offset %d) does not match the header (%d rows at %d)", i, m.Rows, m.Off, rows, wantOff)
+		}
+		wantOff += rows * rowBytes
+		metas = append(metas, m)
+	}
+	sp := &Spilled{Enc: enc, PageRows: hdr.PageRows, Rows: hdr.Rows, D: hdr.Dim}
 	for i, m := range metas {
-		data, err := dataset.ReadBytes(cr)
-		if err != nil {
+		var n uint64
+		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("featstore: reading page %d: %w", i, err)
 		}
-		if m.Off != wantOff || int(m.Rows)*hdr.Dim*enc.BytesPerElem() != len(data) {
-			return nil, fmt.Errorf("featstore: page %d index/payload mismatch", i)
+		if want := int64(m.Rows) * rowBytes; n != uint64(want) {
+			return nil, fmt.Errorf("featstore: page %d payload is %d bytes, index implies %d", i, n, want)
 		}
-		wantOff += int64(len(data))
-		sp.pages[i] = &page{data: data, minV: m.Min, maxV: m.Max, rows: int(m.Rows)}
+		data := make([]byte, n)
+		if _, err := io.ReadFull(cr, data); err != nil {
+			return nil, fmt.Errorf("featstore: reading page %d: %w", i, err)
+		}
+		sp.pages = append(sp.pages, &page{data: data, minV: m.Min, maxV: m.Max, rows: int(m.Rows)})
 	}
 	sum := cr.Sum32()
 	var want uint32

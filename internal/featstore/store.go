@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"sync"
 
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
 )
 
 // RowSource produces feature rows on demand; the store never materializes
-// the full float32 table. Implementations: a materialized slab
-// (SliceSource), the dataset generator's hash-seeded per-node stream
-// (dataset.FeatureGen, which satisfies this interface structurally), or a
-// spilled page file (Spilled).
+// the full float32 table. Implementations: the dataset's rows in partition
+// order (core's adapter over a materialized slab or the hash-seeded
+// dataset.FeatureGen stream), or a spilled page file (Spilled).
 type RowSource interface {
 	NumRows() int64
 	Dim() int
@@ -19,23 +19,6 @@ type RowSource interface {
 	// Implementations must be deterministic and safe for concurrent calls
 	// with distinct dst buffers.
 	FillRow(row int64, dst []float32)
-}
-
-// SliceSource adapts a row-major materialized slab to RowSource.
-type SliceSource struct {
-	Data []float32
-	D    int
-}
-
-// NumRows returns the row count of the slab.
-func (s *SliceSource) NumRows() int64 { return int64(len(s.Data) / s.D) }
-
-// Dim returns the feature dimension.
-func (s *SliceSource) Dim() int { return s.D }
-
-// FillRow copies one slab row.
-func (s *SliceSource) FillRow(row int64, dst []float32) {
-	copy(dst, s.Data[row*int64(s.D):(row+1)*int64(s.D)])
 }
 
 // Options configures a Store.
@@ -49,86 +32,39 @@ type Options struct {
 	// encoded page payload (default 256 MiB).
 	CacheBytes int64
 	// Policy selects the BlockCache replacement/admission policy
-	// (default PolicyLRU). PolicyAdmit changes only which pages stay
-	// resident — decoded values are identical under either policy.
-	Policy Policy
+	// (default blockcache.PolicyLRU). PolicyAdmit changes only which pages
+	// stay resident — decoded values are identical under either policy.
+	Policy blockcache.Policy
 }
 
-func (o Options) normalize() Options {
-	if o.PageRows <= 0 {
-		o.PageRows = 256
-	}
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = 256 << 20
-	}
-	return o
-}
-
-// Store is the paged feature table. It implements graph.FeatureSource:
-// GatherRows decodes the requested rows out of each device's BlockCache,
-// faulting missing pages in over the Unified-Memory path on the device's
-// copy stream. The store itself is immutable after construction; all
-// mutable state lives in the per-device caches.
+// Store is the paged feature table, a codec over the blockcache.PageStore
+// core (which supplies Attach, NumPages, PageOf, PrefetchPages and the
+// per-device caches). It implements graph.FeatureSource: GatherRows
+// decodes the requested rows out of each device's cached encoded pages.
 type Store struct {
-	src  RowSource
-	opts Options
-
-	nRows  int64
-	dim    int
-	nPages int32
-
-	// caches holds one BlockCache per attached device. The slice is
-	// extended only by Attach (before training starts); lookups during
-	// gathers are read-only, so no lock is needed around the slice itself.
-	caches []*devCache
-
-	// hostPg memoizes the last page encoded by ReadRow (an uncharged
-	// host-side path used by cache fills and evaluation), so sequential
-	// host reads don't re-encode a page per row.
-	hostMu sync.Mutex
-	hostID int32
-	hostPg *page
-}
-
-// devCache is one device's view of the store: its BlockCache plus gather
-// scratch. The scratch is unlocked — like the loader's slot ring, each
-// device is driven by exactly one goroutine at a time under
-// sim.RunParallel — while the BlockCache keeps its own mutex so direct
-// concurrent use (and the race detector) stay sound.
-type devCache struct {
-	dev    *sim.Device
-	bc     *BlockCache
-	pages  map[int32]*page
-	fresh  []*page
-	ids    []int32
-	rowBuf []float32
+	*blockcache.PageStore[*page]
+	src   RowSource
+	opts  Options
+	nRows int64
+	dim   int
 }
 
 // New builds a store over src. Attach devices before gathering.
 func New(src RowSource, opts Options) (*Store, error) {
-	opts = opts.normalize()
+	if opts.PageRows <= 0 {
+		opts.PageRows = 256
+	}
 	n, dim := src.NumRows(), src.Dim()
 	if n < 0 || dim <= 0 {
 		return nil, fmt.Errorf("featstore: bad source shape %d x %d", n, dim)
 	}
-	s := &Store{
-		src: src, opts: opts, nRows: n, dim: dim,
-		nPages: int32((n + int64(opts.PageRows) - 1) / int64(opts.PageRows)),
-		hostID: -1,
-	}
+	s := &Store{src: src, opts: opts, nRows: n, dim: dim}
+	s.PageStore = blockcache.NewPageStore(blockcache.Config[*page]{
+		Name: "featstore", Unit: "row", Units: n, PageUnits: opts.PageRows,
+		CacheBytes: opts.CacheBytes, Policy: opts.Policy,
+		WorkingSetBytes: s.EncodedBytes(), Fill: s.fillPage,
+	})
 	return s, nil
-}
-
-// Attach gives each device its own BlockCache. Call once per device before
-// the first gather; attaching mid-training would race with lookups.
-func (s *Store) Attach(devs ...*sim.Device) {
-	for _, d := range devs {
-		s.caches = append(s.caches, &devCache{
-			dev:   d,
-			bc:    NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
-			pages: make(map[int32]*page),
-		})
-	}
 }
 
 // NumRows implements graph.FeatureSource.
@@ -137,15 +73,6 @@ func (s *Store) NumRows() int64 { return s.nRows }
 // Dim implements graph.FeatureSource.
 func (s *Store) Dim() int { return s.dim }
 
-// Encoding returns the page codec in use.
-func (s *Store) Encoding() Encoding { return s.opts.Encoding }
-
-// PageRows returns the rows-per-page setting.
-func (s *Store) PageRows() int { return s.opts.PageRows }
-
-// NumPages returns the page count (last page possibly partial).
-func (s *Store) NumPages() int { return int(s.nPages) }
-
 // EncodedBytes returns the store's total encoded payload size — the
 // virtual footprint a flat encoded table would occupy, and the UM working
 // set the fault-latency model sees.
@@ -153,32 +80,21 @@ func (s *Store) EncodedBytes() int64 {
 	return s.nRows * int64(s.dim) * int64(s.opts.Encoding.BytesPerElem())
 }
 
-// CacheBudgetBytes returns the per-device BlockCache capacity.
-func (s *Store) CacheBudgetBytes() int64 { return s.opts.CacheBytes }
+// staging recycles the float32 buffers pages are encoded from.
+var staging = sync.Pool{New: func() any { return new([]float32) }}
 
-func (s *Store) cacheFor(dev *sim.Device) *devCache {
-	for _, dc := range s.caches {
-		if dc.dev == dev {
-			return dc
-		}
-	}
-	panic(fmt.Sprintf("featstore: device %d not attached", dev.ID))
+// fillPage encodes rows [lo, hi) from the row source — the core's Fill.
+func (s *Store) fillPage(lo, hi int64) *page {
+	buf := staging.Get().(*[]float32)
+	var pg *page
+	pg, *buf = s.encodeRows(lo, hi, *buf)
+	staging.Put(buf)
+	return pg
 }
 
-// pageSpan returns page id's row range [lo, hi).
-func (s *Store) pageSpan(id int32) (lo, hi int64) {
-	lo = int64(id) * int64(s.opts.PageRows)
-	hi = lo + int64(s.opts.PageRows)
-	if hi > s.nRows {
-		hi = s.nRows
-	}
-	return
-}
-
-// encodePageInto encodes page id from the row source, using buf (grown as
-// needed) as the float32 staging area. Deterministic in (src, id).
-func (s *Store) encodePageInto(id int32, buf []float32) (*page, []float32) {
-	lo, hi := s.pageSpan(id)
+// encodeRows encodes rows [lo, hi) from the row source, using buf (grown
+// as needed) as the float32 staging area. Deterministic in (src, lo, hi).
+func (s *Store) encodeRows(lo, hi int64, buf []float32) (*page, []float32) {
 	rows := int(hi - lo)
 	need := rows * s.dim
 	if cap(buf) < need {
@@ -192,12 +108,11 @@ func (s *Store) encodePageInto(id int32, buf []float32) (*page, []float32) {
 }
 
 // GatherRows implements graph.FeatureSource. It resolves each requested
-// row's page against dev's BlockCache; distinct missing pages are faulted
-// in on the copy stream — per-page UM fault latency plus encoded-byte
-// migration at UM bulk bandwidth — and the current stream waits on the
-// transfer before one decode kernel reads the (now resident, still
-// encoded) rows at HBM random-access cost and widens them to float32
-// in dst. Returns the virtual seconds the current stream advanced.
+// row's page in one demand batch against dev's BlockCache — distinct
+// missing pages are faulted in on the copy stream, and the current stream
+// waits on the transfer — then one decode kernel reads the (now resident,
+// still encoded) rows at HBM random-access cost and widens them to
+// float32 in dst. Returns the virtual seconds the current stream advanced.
 func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32, tag string) float64 {
 	if dim != s.dim {
 		panic(fmt.Sprintf("featstore: dim %d != store dim %d", dim, s.dim))
@@ -205,64 +120,13 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	if len(dst) < len(rows)*dim {
 		panic("featstore: dst too small")
 	}
-	dc := s.cacheFor(dev)
 	t0 := dev.Now()
-
-	clear(dc.pages)
-	dc.fresh = dc.fresh[:0]
-	pageRows := int64(s.opts.PageRows)
-	var missBytes int64
-	var inflight sim.Event
-	for _, row := range rows {
-		if row < 0 || row >= s.nRows {
-			panic(fmt.Sprintf("featstore: row %d outside [0,%d)", row, s.nRows))
-		}
-		id := int32(row / pageRows)
-		if _, ok := dc.pages[id]; ok {
-			continue
-		}
-		pg, _ := dc.bc.Get(id).(*page)
-		if pg == nil {
-			pg, dc.rowBuf = s.encodePageInto(id, dc.rowBuf)
-			// A rejected insert (PolicyAdmit) still serves this gather via
-			// dc.pages; only residency for future gathers changes.
-			dc.bc.Put(id, pg)
-			dc.fresh = append(dc.fresh, pg)
-			missBytes += pg.CacheBytes()
-		} else if pg.ready.T > inflight.T {
-			// Hit on a page a prefetch may still be migrating: join its
-			// copy-stream ready event instead of reading the future.
-			inflight = pg.ready
-		}
-		dc.pages[id] = pg
-	}
-
-	if len(dc.fresh) > 0 {
-		// Fault service runs on the copy stream: it can start no earlier
-		// than this gather's issue point, and the gather's decode kernel
-		// waits for the migration — the PR-3 event dance. Per-page fault
-		// latency follows the Table I UM model at the store's working-set
-		// size; the payload moves at UM bulk bandwidth.
-		issue := dev.RecordEvent()
-		prev := dev.SetStream(sim.StreamCopy)
-		dev.WaitEvent(issue, "featstore.issue")
-		ws := float64(s.EncodedBytes()) / 1e9
-		dev.IdleFor(float64(len(dc.fresh))*dev.UMAccessLatency(ws), "featstore.fault")
-		dev.Kernel(sim.KernelCost{UMBytes: float64(missBytes), Tag: "featstore.pagein"})
-		ready := dev.RecordEvent()
-		dev.SetStream(prev)
-		for _, pg := range dc.fresh {
-			pg.ready = ready
-		}
-		dev.WaitEvent(ready, "featstore.ready")
-	}
-	dev.WaitEvent(inflight, "featstore.prefetch.join")
-
+	b := s.Begin(dev)
 	for i, row := range rows {
-		id := int32(row / pageRows)
-		r := int(row - int64(id)*pageRows)
-		dc.pages[id].decodeRow(s.opts.Encoding, r, dim, dst[i*dim:(i+1)*dim])
+		pg, r := b.At(row)
+		pg.decodeRow(s.opts.Encoding, r, dim, dst[i*dim:(i+1)*dim])
 	}
+	b.Flush()
 	elems := len(rows) * dim
 	dev.Kernel(sim.KernelCost{
 		RandBytes:   float64(elems * s.opts.Encoding.BytesPerElem()),
@@ -273,130 +137,36 @@ func (s *Store) GatherRows(dev *sim.Device, rows []int64, dim int, dst []float32
 	return dev.Now() - t0
 }
 
-// PrefetchRows faults the pages holding rows into dev's BlockCache ahead
-// of demand, at most maxPages of them (0 = unlimited). The migration is
-// issued on the copy stream and — unlike a demand fault — nothing waits
-// on it: pages carry the transfer's ready event, and the first gather to
-// touch one joins that event (free if the transfer already finished,
-// the overlap win; a stall only if compute caught up with the copy
-// stream). Already-resident pages are skipped without touching the
-// demand hit/miss counters; under PolicyAdmit the sketch can reject a
-// prefetch outright, in which case no fault is charged. Returns the
-// number of pages actually faulted.
-func (s *Store) PrefetchRows(dev *sim.Device, rows []int64, maxPages int) int {
-	dc := s.cacheFor(dev)
-	dc.ids = dc.ids[:0]
-	pageRows := int64(s.opts.PageRows)
-	for _, row := range rows {
-		if row < 0 || row >= s.nRows {
-			continue
-		}
-		id := int32(row / pageRows)
-		dup := false
-		for _, seen := range dc.ids {
-			if seen == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dc.ids = append(dc.ids, id)
-		}
-	}
-	if maxPages > 0 && len(dc.ids) > maxPages {
-		dc.ids = dc.ids[:maxPages]
-	}
-	dc.fresh = dc.fresh[:0]
-	var missBytes int64
-	for _, id := range dc.ids {
-		if dc.bc.Contains(id) {
-			continue
-		}
-		pg, buf := s.encodePageInto(id, dc.rowBuf)
-		dc.rowBuf = buf
-		if !dc.bc.PutPrefetched(id, pg) {
-			continue // admission rejected a speculative page: skip, no charge
-		}
-		dc.fresh = append(dc.fresh, pg)
-		missBytes += pg.CacheBytes()
-	}
-	if len(dc.fresh) == 0 {
-		return 0
-	}
-	issue := dev.RecordEvent()
-	prev := dev.SetStream(sim.StreamCopy)
-	dev.WaitEvent(issue, "featstore.prefetch.issue")
-	ws := float64(s.EncodedBytes()) / 1e9
-	dev.IdleFor(float64(len(dc.fresh))*dev.UMAccessLatency(ws), "featstore.prefetch.fault")
-	dev.Kernel(sim.KernelCost{UMBytes: float64(missBytes), Tag: "featstore.prefetch"})
-	ready := dev.RecordEvent()
-	dev.SetStream(prev)
-	for _, pg := range dc.fresh {
-		pg.ready = ready
-	}
-	return len(dc.fresh)
-}
-
 // ReadRow implements graph.FeatureSource: an uncharged host-side read that
 // returns exactly what GatherRows would decode for the row (for Raw, the
 // source bits verbatim; for lossy encodings, the codec's reconstruction).
 func (s *Store) ReadRow(row int64, dst []float32) {
-	if row < 0 || row >= s.nRows {
-		panic(fmt.Sprintf("featstore: row %d outside [0,%d)", row, s.nRows))
-	}
-	id := int32(row / int64(s.opts.PageRows))
-	s.hostMu.Lock()
-	defer s.hostMu.Unlock()
-	if s.hostID != id {
-		s.hostPg, _ = s.encodePageInto(id, nil)
-		s.hostID = id
-	}
-	lo, _ := s.pageSpan(id)
-	s.hostPg.decodeRow(s.opts.Encoding, int(row-lo), s.dim, dst)
+	pg, r := s.Read(row)
+	pg.decodeRow(s.opts.Encoding, r, s.dim, dst)
 }
 
-// Stats aggregates the store's configuration with every attached device's
-// BlockCache counters.
+// Stats is the store's codec configuration plus the core's stats.
 type Stats struct {
-	Encoding         string `json:"encoding"`
-	PageRows         int    `json:"page_rows"`
-	Pages            int    `json:"pages"`
-	EncodedBytes     int64  `json:"encoded_bytes"`
-	CacheBytes       int64  `json:"cache_budget_bytes"`
-	Devices          int    `json:"devices"`
-	Policy           string `json:"policy"`
-	Hits             int64  `json:"hits"`
-	Misses           int64  `json:"misses"`
-	Evictions        int64  `json:"evictions"`
-	PrefetchHits     int64  `json:"prefetch_hits"`
-	AdmissionRejects int64  `json:"admission_rejects"`
-	ResidentBytes    int64  `json:"resident_bytes"`
+	Encoding     string `json:"encoding"`
+	PageRows     int    `json:"page_rows"`
+	EncodedBytes int64  `json:"encoded_bytes"`
+	blockcache.Stats
 }
 
-// HitRate returns the fraction of page lookups served from a BlockCache.
-func (st Stats) HitRate() float64 {
-	if st.Hits+st.Misses == 0 {
-		return 0
+// Add accumulates o into st (the aggregate over one trainer's stores):
+// the first store's codec settings, summed sizes and counters.
+func (st *Stats) Add(o Stats) {
+	if st.Encoding == "" {
+		st.Encoding, st.PageRows = o.Encoding, o.PageRows
 	}
-	return float64(st.Hits) / float64(st.Hits+st.Misses)
+	st.EncodedBytes += o.EncodedBytes
+	st.Stats.Add(o.Stats)
 }
 
 // Stats snapshots the aggregate counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Encoding: s.opts.Encoding.String(), PageRows: s.opts.PageRows,
-		Pages: int(s.nPages), EncodedBytes: s.EncodedBytes(),
-		CacheBytes: s.opts.CacheBytes, Devices: len(s.caches),
-		Policy: s.opts.Policy.String(),
+		EncodedBytes: s.EncodedBytes(), Stats: s.PageStore.Stats(),
 	}
-	for _, dc := range s.caches {
-		cs := dc.bc.Stats()
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-		st.Evictions += cs.Evictions
-		st.PrefetchHits += cs.PrefetchHits
-		st.AdmissionRejects += cs.AdmissionRejects
-		st.ResidentBytes += cs.ResidentBytes
-	}
-	return st
 }

@@ -2,15 +2,31 @@ package featstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"wholegraph/internal/dataset"
 	"wholegraph/internal/sim"
 )
+
+// SliceSource adapts a row-major materialized slab to RowSource.
+type SliceSource struct {
+	Data []float32
+	D    int
+}
+
+func (s *SliceSource) NumRows() int64 { return int64(len(s.Data) / s.D) }
+func (s *SliceSource) Dim() int       { return s.D }
+func (s *SliceSource) FillRow(row int64, dst []float32) {
+	copy(dst, s.Data[row*int64(s.D):(row+1)*int64(s.D)])
+}
 
 func testSource(rng *rand.Rand, rows, dim int) *SliceSource {
 	return &SliceSource{Data: randMatrix(rng, rows, dim), D: dim}
@@ -233,6 +249,70 @@ func TestSpillCorruptionDetected(t *testing.T) {
 	// Truncation is detected too.
 	if _, err := LoadSpill(bytes.NewReader(raw[:len(raw)-3])); err == nil {
 		t.Error("truncated spill accepted")
+	}
+}
+
+// craftSpill writes a spill by hand — header, page count, index entries
+// and payloads exactly as given — with a valid checksum, so LoadSpill's
+// structural validation is all that stands between it and a decode.
+func craftSpill(t *testing.T, hdr spillHeader, nPages int64, metas []spillPageMeta, payloads [][]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(spillMagic)
+	le := binary.LittleEndian
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(binary.Write(&buf, le, spillVersion))
+	cw := dataset.NewCRC32Writer(&buf)
+	h, err := json.Marshal(hdr)
+	must(err)
+	must(dataset.WriteBytes(cw, h))
+	must(binary.Write(cw, le, nPages))
+	for _, m := range metas {
+		must(binary.Write(cw, le, m))
+	}
+	for _, p := range payloads {
+		must(dataset.WriteBytes(cw, p))
+	}
+	must(binary.Write(&buf, le, cw.Sum32()))
+	return buf.Bytes()
+}
+
+// TestLoadSpillRejectsCraftedIndex: spills whose page index disagrees with
+// the header are rejected with an error — never a panic on a later
+// FillRow, never an allocation sized by the header alone.
+func TestLoadSpillRejectsCraftedIndex(t *testing.T) {
+	hdr := spillHeader{Encoding: "raw", PageRows: 4, Rows: 4, Dim: 1}
+	// The well-formed twin loads, so the rejections below are the index's.
+	good := craftSpill(t, hdr, 1, []spillPageMeta{{Rows: 4}}, [][]byte{make([]byte, 16)})
+	sp, err := LoadSpill(bytes.NewReader(good))
+	if err != nil {
+		t.Fatalf("well-formed spill rejected: %v", err)
+	}
+	sp.FillRow(3, make([]float32, 1))
+
+	// A 4-row spill whose only page claims 1 row (payload sized to match).
+	short := craftSpill(t, hdr, 1, []spillPageMeta{{Rows: 1}}, [][]byte{make([]byte, 4)})
+	if _, err := LoadSpill(bytes.NewReader(short)); err == nil {
+		t.Error("page claiming 1 of the header's 4 rows accepted")
+	}
+
+	// A tiny file claiming 2^31-1 one-row pages: an error after reading
+	// what is there, without allocating for the claimed index.
+	huge := spillHeader{Encoding: "raw", PageRows: 1, Rows: math.MaxInt32, Dim: 1}
+	tiny := craftSpill(t, huge, math.MaxInt32, []spillPageMeta{{Rows: 1}, {Off: 4, Rows: 1}}, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = LoadSpill(bytes.NewReader(tiny))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("truncated index of 2^31-1 pages accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("LoadSpill allocated %d bytes for a %d-byte file", alloc, len(tiny))
 	}
 }
 

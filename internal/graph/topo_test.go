@@ -93,7 +93,7 @@ func TestPartitionPagedMatchesMaterialized(t *testing.T) {
 			t.Fatalf("Access.At(%d) = %d, want %d", e, got, want)
 		}
 	}
-	acc.Flush("test")
+	acc.Flush()
 }
 
 // TestPartitionPagedAccounting: paged structure bytes count only the

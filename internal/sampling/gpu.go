@@ -132,7 +132,7 @@ func (s *GPUSampler) SampleLayerInto(nb *Neighborhood, targets []graph.GlobalID,
 	// Fault the column pages this kernel needs (no-op when everything is
 	// resident); the sampling kernel below starts after the migration.
 	if acc != nil {
-		acc.Flush("sample")
+		acc.Flush()
 	}
 
 	seg := 8.0

@@ -35,6 +35,7 @@ import (
 
 	"wholegraph/internal/ann"
 	"wholegraph/internal/autograd"
+	"wholegraph/internal/blockcache"
 	"wholegraph/internal/cache"
 	"wholegraph/internal/core"
 	"wholegraph/internal/dataset"
@@ -254,7 +255,7 @@ func New(m *sim.Machine, node int, ds *dataset.Dataset, model gnn.LayerwiseModel
 		if encErr != nil {
 			return nil, encErr
 		}
-		policy, polErr := featstore.ParsePolicy(opts.CachePolicy)
+		policy, polErr := blockcache.ParsePolicy(opts.CachePolicy)
 		if polErr != nil {
 			return nil, polErr
 		}

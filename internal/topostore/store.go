@@ -2,9 +2,9 @@
 // internal/featstore: the CSR column array (destination GlobalIDs,
 // sharded by source rank and concatenated into one global edge index
 // space) is served from fixed-edge-range pages produced on demand by a
-// fill function, behind the same per-device byte-budgeted BlockCaches.
-// A page miss pays the Unified-Memory fault dance on the device's copy
-// stream; a hit reads local HBM. Sampling reads neighbors through an
+// fill function, a codec over the same internal/blockcache page-store
+// core. A page miss pays the Unified-Memory fault dance on the device's
+// copy stream; a hit reads local HBM. Sampling reads neighbors through an
 // Access, which batches one fault dance per sampling kernel and joins
 // any in-flight prefetch transfers, so paged sampling is bit-identical
 // to the in-memory CSR — only virtual time and hit rates change.
@@ -12,7 +12,6 @@ package topostore
 
 import (
 	"fmt"
-	"sync"
 
 	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
@@ -38,315 +37,101 @@ type Options struct {
 	Policy blockcache.Policy
 }
 
-func (o Options) normalize() Options {
-	if o.PageEdges <= 0 {
-		o.PageEdges = 4096
-	}
-	if o.CacheBytes <= 0 {
-		o.CacheBytes = 256 << 20
-	}
-	return o
-}
-
 // colPage is one resident column range.
-type colPage struct {
-	col []uint64
-	// ready is the copy-stream event after which the page is resident
-	// (zero for demand faults, which wait inline; set by PrefetchPages).
-	ready sim.Event
-}
+type colPage []uint64
 
 // CacheBytes implements blockcache.Block.
-func (p *colPage) CacheBytes() int64 { return int64(len(p.col))*8 + 16 }
+func (p colPage) CacheBytes() int64 { return int64(len(p))*8 + 16 }
 
-// Store is the paged column table. Immutable after construction; all
-// mutable state lives in the per-device caches.
+// Store is the paged column table, a codec over the blockcache.PageStore
+// core (which supplies Attach, NumPages, PageOf, PrefetchPages and the
+// per-device caches).
 type Store struct {
-	fill     Fill
+	*blockcache.PageStore[colPage]
 	opts     Options
 	numEdges int64
-	nPages   int32
-
-	// caches holds one entry per attached device; extended only by
-	// Attach, before training starts.
-	caches []*devCache
-
-	// hostPg memoizes the last page decoded by ReadEdge (the uncharged
-	// host-side path used by tests and host-side neighbor walks).
-	hostMu sync.Mutex
-	hostID int32
-	hostPg *colPage
-}
-
-// devCache is one device's view of the store: its BlockCache plus the
-// Access scratch. Like featstore's devCache, the scratch is unlocked —
-// each device is driven by exactly one goroutine at a time — while the
-// BlockCache keeps its own mutex.
-type devCache struct {
-	dev *sim.Device
-	bc  *blockcache.BlockCache
-	acc Access
 }
 
 // New builds a store over numEdges column entries served by fill.
 func New(numEdges int64, fill Fill, opts Options) (*Store, error) {
-	opts = opts.normalize()
+	if opts.PageEdges <= 0 {
+		opts.PageEdges = 4096
+	}
 	if numEdges < 0 {
 		return nil, fmt.Errorf("topostore: negative edge count %d", numEdges)
 	}
 	if fill == nil {
 		return nil, fmt.Errorf("topostore: nil fill function")
 	}
-	s := &Store{
-		fill: fill, opts: opts, numEdges: numEdges,
-		nPages: int32((numEdges + int64(opts.PageEdges) - 1) / int64(opts.PageEdges)),
-		hostID: -1,
-	}
+	s := &Store{opts: opts, numEdges: numEdges}
+	s.PageStore = blockcache.NewPageStore(blockcache.Config[colPage]{
+		Name: "topostore", Unit: "edge", Units: numEdges, PageUnits: opts.PageEdges,
+		CacheBytes: opts.CacheBytes, Policy: opts.Policy,
+		WorkingSetBytes: s.TopoBytes(),
+		Fill: func(lo, hi int64) colPage {
+			pg := make(colPage, hi-lo)
+			fill(lo, hi, pg)
+			return pg
+		},
+	})
 	return s, nil
-}
-
-// Attach gives each device its own BlockCache. Call once per device
-// before the first access.
-func (s *Store) Attach(devs ...*sim.Device) {
-	for _, d := range devs {
-		dc := &devCache{
-			dev: d,
-			bc:  blockcache.NewBlockCacheWithPolicy(s.opts.CacheBytes, s.opts.Policy),
-		}
-		dc.acc = Access{s: s, dc: dc, pages: make(map[int32]*colPage)}
-		s.caches = append(s.caches, dc)
-	}
 }
 
 // NumEdges returns the stored column entry count.
 func (s *Store) NumEdges() int64 { return s.numEdges }
-
-// NumPages returns the page count (last page possibly partial).
-func (s *Store) NumPages() int { return int(s.nPages) }
-
-// PageEdges returns the edges-per-page setting.
-func (s *Store) PageEdges() int { return s.opts.PageEdges }
 
 // TopoBytes returns the virtual column footprint — what a materialized
 // wholemem Col array would occupy, and the UM working set the
 // fault-latency model sees.
 func (s *Store) TopoBytes() int64 { return s.numEdges * 8 }
 
-// CacheBudgetBytes returns the per-device BlockCache capacity.
-func (s *Store) CacheBudgetBytes() int64 { return s.opts.CacheBytes }
-
-// PageOf returns the page holding global edge index e.
-func (s *Store) PageOf(e int64) int32 { return int32(e / int64(s.opts.PageEdges)) }
-
-func (s *Store) cacheFor(dev *sim.Device) *devCache {
-	for _, dc := range s.caches {
-		if dc.dev == dev {
-			return dc
-		}
-	}
-	panic(fmt.Sprintf("topostore: device %d not attached", dev.ID))
-}
-
-// pageSpan returns page id's edge range [lo, hi).
-func (s *Store) pageSpan(id int32) (lo, hi int64) {
-	lo = int64(id) * int64(s.opts.PageEdges)
-	hi = lo + int64(s.opts.PageEdges)
-	if hi > s.numEdges {
-		hi = s.numEdges
-	}
-	return
-}
-
-// fillPage produces page id. Deterministic in (fill, id): an evicted page
-// refills to identical values, so decoded neighbors never depend on cache
-// history.
-func (s *Store) fillPage(id int32) *colPage {
-	lo, hi := s.pageSpan(id)
-	pg := &colPage{col: make([]uint64, hi-lo)}
-	s.fill(lo, hi, pg.col)
-	return pg
-}
-
 // Begin starts a page-aware access batch on dev: At decodes single
 // column entries, tracking which pages were touched and which missed;
 // Flush charges one copy-stream fault dance for all misses, joins any
-// in-flight prefetch transfers, and resets the batch. One Access per
-// device — Begin while a batch is open resets it.
+// in-flight prefetch transfers, resets the batch, and returns the number
+// of pages faulted (see blockcache.Batch). One Access per device — Begin
+// while a batch is open resets it.
 func (s *Store) Begin(dev *sim.Device) *Access {
-	acc := &s.cacheFor(dev).acc
-	acc.reset()
-	return acc
+	return &Access{s.PageStore.Begin(dev)}
 }
 
 // Access is an open access batch; see Store.Begin.
-type Access struct {
-	s         *Store
-	dc        *devCache
-	pages     map[int32]*colPage
-	fresh     []*colPage
-	missBytes int64
-	inflight  sim.Event
-}
-
-func (a *Access) reset() {
-	clear(a.pages)
-	a.fresh = a.fresh[:0]
-	a.missBytes = 0
-	a.inflight = sim.Event{}
-}
+type Access struct{ *blockcache.Batch[colPage] }
 
 // At returns the column value at global edge index e, faulting the
 // holding page host-side if missing (the virtual-time charge is deferred
 // to Flush). The value is identical whether the page was resident,
 // missing, or admission-rejected.
 func (a *Access) At(e int64) uint64 {
-	s := a.s
-	if e < 0 || e >= s.numEdges {
-		panic(fmt.Sprintf("topostore: edge %d outside [0,%d)", e, s.numEdges))
-	}
-	id := s.PageOf(e)
-	pg, ok := a.pages[id]
-	if !ok {
-		pg, _ = a.dc.bc.Get(id).(*colPage)
-		if pg == nil {
-			pg = s.fillPage(id)
-			// A rejected insert (PolicyAdmit) still serves this batch via
-			// a.pages; only residency for future batches changes.
-			a.dc.bc.Put(id, pg)
-			a.fresh = append(a.fresh, pg)
-			a.missBytes += pg.CacheBytes()
-		} else if pg.ready.T > a.inflight.T {
-			a.inflight = pg.ready
-		}
-		a.pages[id] = pg
-	}
-	lo := int64(id) * int64(s.opts.PageEdges)
-	return pg.col[e-lo]
-}
-
-// Flush charges the batch's page faults — one copy-stream UM fault dance
-// covering every page missed since Begin/the last Flush — and makes the
-// current stream wait for the migration plus any in-flight prefetched
-// page the batch touched. Call before the kernel that consumes the
-// decoded values. Returns the number of pages faulted.
-func (a *Access) Flush(tag string) int {
-	dev := a.dc.dev
-	faulted := len(a.fresh)
-	if faulted > 0 {
-		issue := dev.RecordEvent()
-		prev := dev.SetStream(sim.StreamCopy)
-		dev.WaitEvent(issue, "topostore.issue")
-		ws := float64(a.s.TopoBytes()) / 1e9
-		dev.IdleFor(float64(faulted)*dev.UMAccessLatency(ws), "topostore.fault")
-		dev.Kernel(sim.KernelCost{UMBytes: float64(a.missBytes), Tag: "topostore.pagein"})
-		ready := dev.RecordEvent()
-		dev.SetStream(prev)
-		for _, pg := range a.fresh {
-			pg.ready = ready
-		}
-		dev.WaitEvent(ready, "topostore.ready")
-	}
-	dev.WaitEvent(a.inflight, "topostore.prefetch.join")
-	a.reset()
-	return faulted
-}
-
-// PrefetchPages faults pages ids into dev's BlockCache ahead of demand.
-// Issued on the copy stream with nothing waiting on it: pages carry the
-// transfer's ready event and the first access batch to touch one joins
-// it (free if the transfer already finished — the overlap win). Already
-// resident pages are skipped without touching the demand counters; under
-// PolicyAdmit the sketch can reject a speculative page outright, in
-// which case no fault is charged. Returns the pages actually faulted.
-func (s *Store) PrefetchPages(dev *sim.Device, ids []int32) int {
-	dc := s.cacheFor(dev)
-	var fresh []*colPage
-	var missBytes int64
-	for _, id := range ids {
-		if id < 0 || id >= s.nPages || dc.bc.Contains(id) {
-			continue
-		}
-		pg := s.fillPage(id)
-		if !dc.bc.PutPrefetched(id, pg) {
-			continue
-		}
-		fresh = append(fresh, pg)
-		missBytes += pg.CacheBytes()
-	}
-	if len(fresh) == 0 {
-		return 0
-	}
-	issue := dev.RecordEvent()
-	prev := dev.SetStream(sim.StreamCopy)
-	dev.WaitEvent(issue, "topostore.prefetch.issue")
-	ws := float64(s.TopoBytes()) / 1e9
-	dev.IdleFor(float64(len(fresh))*dev.UMAccessLatency(ws), "topostore.prefetch.fault")
-	dev.Kernel(sim.KernelCost{UMBytes: float64(missBytes), Tag: "topostore.prefetch"})
-	ready := dev.RecordEvent()
-	dev.SetStream(prev)
-	for _, pg := range fresh {
-		pg.ready = ready
-	}
-	return len(fresh)
+	pg, i := a.Batch.At(e)
+	return pg[i]
 }
 
 // ReadEdge is the uncharged host-side read: the column value at e,
 // exactly what an Access would decode, without touching device caches.
 func (s *Store) ReadEdge(e int64) uint64 {
-	if e < 0 || e >= s.numEdges {
-		panic(fmt.Sprintf("topostore: edge %d outside [0,%d)", e, s.numEdges))
-	}
-	id := s.PageOf(e)
-	s.hostMu.Lock()
-	defer s.hostMu.Unlock()
-	if s.hostID != id {
-		s.hostPg = s.fillPage(id)
-		s.hostID = id
-	}
-	lo := int64(id) * int64(s.opts.PageEdges)
-	return s.hostPg.col[e-lo]
+	pg, i := s.Read(e)
+	return pg[i]
 }
 
-// Stats aggregates the store's configuration with every attached
-// device's BlockCache counters.
+// Stats is the store's page layout plus the core's stats.
 type Stats struct {
-	PageEdges        int    `json:"page_edges"`
-	Pages            int    `json:"pages"`
-	TopoBytes        int64  `json:"topo_bytes"`
-	CacheBytes       int64  `json:"cache_budget_bytes"`
-	Devices          int    `json:"devices"`
-	Policy           string `json:"policy"`
-	Hits             int64  `json:"hits"`
-	Misses           int64  `json:"misses"`
-	Evictions        int64  `json:"evictions"`
-	PrefetchHits     int64  `json:"prefetch_hits"`
-	AdmissionRejects int64  `json:"admission_rejects"`
-	ResidentBytes    int64  `json:"resident_bytes"`
+	PageEdges int   `json:"page_edges"`
+	TopoBytes int64 `json:"topo_bytes"`
+	blockcache.Stats
 }
 
-// HitRate returns the fraction of page lookups served from a BlockCache.
-func (st Stats) HitRate() float64 {
-	if st.Hits+st.Misses == 0 {
-		return 0
+// Add accumulates o into st (the aggregate over one trainer's stores,
+// which all serve the same global column array): the first store's
+// layout and footprint, summed counters.
+func (st *Stats) Add(o Stats) {
+	if st.PageEdges == 0 {
+		st.PageEdges, st.TopoBytes = o.PageEdges, o.TopoBytes
 	}
-	return float64(st.Hits) / float64(st.Hits+st.Misses)
+	st.Stats.Add(o.Stats)
 }
 
 // Stats snapshots the aggregate counters.
 func (s *Store) Stats() Stats {
-	st := Stats{
-		PageEdges: s.opts.PageEdges, Pages: int(s.nPages),
-		TopoBytes: s.TopoBytes(), CacheBytes: s.opts.CacheBytes,
-		Devices: len(s.caches), Policy: s.opts.Policy.String(),
-	}
-	for _, dc := range s.caches {
-		cs := dc.bc.Stats()
-		st.Hits += cs.Hits
-		st.Misses += cs.Misses
-		st.Evictions += cs.Evictions
-		st.PrefetchHits += cs.PrefetchHits
-		st.AdmissionRejects += cs.AdmissionRejects
-		st.ResidentBytes += cs.ResidentBytes
-	}
-	return st
+	return Stats{PageEdges: s.opts.PageEdges, TopoBytes: s.TopoBytes(), Stats: s.PageStore.Stats()}
 }

@@ -3,7 +3,6 @@ package topostore
 import (
 	"testing"
 
-	"wholegraph/internal/blockcache"
 	"wholegraph/internal/sim"
 )
 
@@ -42,7 +41,7 @@ func TestAccessDecodesExact(t *testing.T) {
 			t.Fatalf("edge %d: %d != %d", e, got, wantCol(e))
 		}
 	}
-	acc.Flush("test")
+	acc.Flush()
 	// Repeat after the flush: same values from resident pages.
 	acc = s.Begin(dev)
 	for e := int64(0); e < numEdges; e++ {
@@ -50,81 +49,48 @@ func TestAccessDecodesExact(t *testing.T) {
 			t.Fatalf("edge %d after flush: %d != %d", e, got, wantCol(e))
 		}
 	}
-	acc.Flush("test")
+	acc.Flush()
 	if got := s.ReadEdge(999); got != wantCol(999) {
 		t.Fatalf("ReadEdge: %d != %d", got, wantCol(999))
 	}
 }
 
-// TestFlushChargesMissesThenHits: the first batch faults pages on the
-// copy stream; repeating the same edges is served from the cache —
-// strictly cheaper, with the counters moving accordingly.
-func TestFlushChargesMissesThenHits(t *testing.T) {
-	s, dev := newTestStore(t, 4096, Options{PageEdges: 128})
-	edges := []int64{0, 130, 260, 1000, 2000, 4000}
-
-	t0 := dev.Now()
-	acc := s.Begin(dev)
-	for _, e := range edges {
-		acc.At(e)
+// TestPerDeviceIsolation: each attached device gets its own cache and
+// Access scratch; concurrent per-device accesses race-clean and decode
+// correct values (run under -race via scripts/check.sh).
+func TestPerDeviceIsolation(t *testing.T) {
+	s, err := New(8192, testFill, Options{PageEdges: 64})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if faulted := acc.Flush("test"); faulted != 6 {
-		t.Fatalf("faulted %d pages, want 6", faulted)
-	}
-	missTime := dev.Now() - t0
-	st := s.Stats()
-	if st.Misses != 6 || st.Hits != 0 {
-		t.Fatalf("first batch: %+v", st)
-	}
-
-	t1 := dev.Now()
-	acc = s.Begin(dev)
-	for _, e := range edges {
-		acc.At(e)
-	}
-	if faulted := acc.Flush("test"); faulted != 0 {
-		t.Fatalf("repeat batch faulted %d pages", faulted)
-	}
-	hitTime := dev.Now() - t1
-	st = s.Stats()
-	if st.Misses != 6 || st.Hits != 6 {
-		t.Errorf("repeat batch: %+v", st)
-	}
-	if hitTime >= missTime {
-		t.Errorf("hit batch (%.3g s) not cheaper than miss batch (%.3g s)", hitTime, missTime)
-	}
-	// Within one batch, repeated edges on the same page count one lookup.
-	acc = s.Begin(dev)
-	acc.At(0)
-	acc.At(1)
-	acc.At(2)
-	acc.Flush("test")
-	if got := s.Stats().Hits; got != 7 {
-		t.Errorf("batched lookups: hits = %d, want 7", got)
-	}
-}
-
-// TestEvictionChurnKeepsValues: a tiny budget forces evictions; every
-// refilled page decodes the same values (fill determinism).
-func TestEvictionChurnKeepsValues(t *testing.T) {
-	pageBytes := int64(64*8) + 16
-	s, dev := newTestStore(t, 4096, Options{PageEdges: 64, CacheBytes: 3 * pageBytes})
-	x := uint64(12345)
-	for i := 0; i < 300; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		e := int64(x % 4096)
-		acc := s.Begin(dev)
-		if got := acc.At(e); got != wantCol(e) {
-			t.Fatalf("iter %d edge %d: wrong value after eviction churn", i, e)
+	m := sim.NewMachine(sim.DGXA100(1))
+	devs := m.Devs[:2]
+	s.Attach(devs...)
+	errs := make(chan error, len(devs))
+	sim.RunParallel(len(devs), func(r int) {
+		dev := devs[r]
+		x := uint64(r)*2654435761 + 99
+		for i := 0; i < 200; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			e := int64(x % 8192)
+			acc := s.Begin(dev)
+			if got := acc.At(e); got != wantCol(e) {
+				errs <- nil
+				return
+			}
+			acc.Flush()
 		}
-		acc.Flush("test")
+	})
+	close(errs)
+	if len(errs) > 0 {
+		t.Fatal("wrong value under concurrent per-device access")
 	}
 	st := s.Stats()
-	if st.Evictions == 0 {
-		t.Error("no evictions under a 3-page budget")
+	if st.Devices != 2 {
+		t.Fatalf("devices = %d", st.Devices)
 	}
-	if st.ResidentBytes > 3*pageBytes {
-		t.Errorf("resident %d over budget %d", st.ResidentBytes, 3*pageBytes)
+	if st.Hits+st.Misses != 2*200 {
+		t.Errorf("lookups %d != %d", st.Hits+st.Misses, 2*200)
 	}
 }
 
@@ -147,7 +113,7 @@ func TestPrefetchOverlapsAndJoins(t *testing.T) {
 	acc := s.Begin(dev)
 	acc.At(0)   // page 0, prefetched
 	acc.At(129) // page 1, prefetched
-	if faulted := acc.Flush("test"); faulted != 0 {
+	if faulted := acc.Flush(); faulted != 0 {
 		t.Fatalf("demand batch faulted %d prefetched pages", faulted)
 	}
 	st := s.Stats()
@@ -178,94 +144,8 @@ func TestPrefetchNoTimeTravel(t *testing.T) {
 	}
 	acc := s.Begin(dev)
 	acc.At(5 * 128)
-	acc.Flush("test")
+	acc.Flush()
 	if now := dev.StreamNow(sim.StreamCompute); now < ready {
 		t.Errorf("demand batch finished at %g before prefetch ready %g", now, ready)
-	}
-}
-
-// TestAdmitPolicyWiring: PolicyAdmit reaches the per-device caches and
-// rejected pages still serve correct values for the faulting batch.
-func TestAdmitPolicyWiring(t *testing.T) {
-	pageBytes := int64(64*8) + 16
-	s, dev := newTestStore(t, 64*300, Options{
-		PageEdges:  64,
-		CacheBytes: 4 * pageBytes,
-		Policy:     blockcache.PolicyAdmit,
-	})
-	// Hot set: pages 0..3, touched repeatedly; then a cold scan.
-	for round := 0; round < 30; round++ {
-		acc := s.Begin(dev)
-		for p := int64(0); p < 4; p++ {
-			e := p * 64
-			if got := acc.At(e); got != wantCol(e) {
-				t.Fatalf("hot edge %d wrong", e)
-			}
-		}
-		acc.Flush("test")
-	}
-	for p := int64(4); p < 300; p++ {
-		e := p * 64
-		acc := s.Begin(dev)
-		if got := acc.At(e); got != wantCol(e) {
-			t.Fatalf("cold edge %d wrong under admission", e)
-		}
-		acc.Flush("test")
-	}
-	st := s.Stats()
-	if st.AdmissionRejects == 0 {
-		t.Error("cold scan produced no admission rejects")
-	}
-	if st.Policy != "admit" {
-		t.Errorf("policy = %q", st.Policy)
-	}
-	// Hot pages survived the scan: one more hot round, all hits.
-	before := s.Stats().Misses
-	acc := s.Begin(dev)
-	for p := int64(0); p < 4; p++ {
-		acc.At(p * 64)
-	}
-	acc.Flush("test")
-	if after := s.Stats().Misses; after != before {
-		t.Errorf("hot pages evicted by cold scan: %d new misses", after-before)
-	}
-}
-
-// TestPerDeviceIsolation: each attached device gets its own cache and
-// Access scratch; concurrent per-device accesses race-clean and decode
-// correct values (run under -race via scripts/check.sh).
-func TestPerDeviceIsolation(t *testing.T) {
-	s, err := New(8192, testFill, Options{PageEdges: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := sim.NewMachine(sim.DGXA100(1))
-	devs := m.Devs[:2]
-	s.Attach(devs...)
-	errs := make(chan error, len(devs))
-	sim.RunParallel(len(devs), func(r int) {
-		dev := devs[r]
-		x := uint64(r)*2654435761 + 99
-		for i := 0; i < 200; i++ {
-			x = x*6364136223846793005 + 1442695040888963407
-			e := int64(x % 8192)
-			acc := s.Begin(dev)
-			if got := acc.At(e); got != wantCol(e) {
-				errs <- nil
-				return
-			}
-			acc.Flush("test")
-		}
-	})
-	close(errs)
-	if len(errs) > 0 {
-		t.Fatal("wrong value under concurrent per-device access")
-	}
-	st := s.Stats()
-	if st.Devices != 2 {
-		t.Fatalf("devices = %d", st.Devices)
-	}
-	if st.Hits+st.Misses != 2*200 {
-		t.Errorf("lookups %d != %d", st.Hits+st.Misses, 2*200)
 	}
 }

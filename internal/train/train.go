@@ -797,23 +797,9 @@ func (t *Trainer) FeatStores() []*featstore.Store {
 
 // FeatStoreStats aggregates BlockCache counters across every paged store.
 // The zero Stats is returned when the trainer is not paged.
-func (t *Trainer) FeatStoreStats() featstore.Stats {
-	var agg featstore.Stats
+func (t *Trainer) FeatStoreStats() (agg featstore.Stats) {
 	for _, fs := range t.FeatStores() {
-		st := fs.Stats()
-		if agg.Encoding == "" {
-			agg.Encoding, agg.PageRows, agg.Policy = st.Encoding, st.PageRows, st.Policy
-		}
-		agg.Pages += st.Pages
-		agg.EncodedBytes += st.EncodedBytes
-		agg.CacheBytes += st.CacheBytes
-		agg.Devices += st.Devices
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.PrefetchHits += st.PrefetchHits
-		agg.AdmissionRejects += st.AdmissionRejects
-		agg.ResidentBytes += st.ResidentBytes
+		agg.Add(fs.Stats())
 	}
 	return agg
 }
@@ -833,23 +819,9 @@ func (t *Trainer) TopoStores() []*topostore.Store {
 // TopoStoreStats aggregates topology BlockCache counters across every
 // paged topology store. The zero Stats is returned when topology is
 // resident.
-func (t *Trainer) TopoStoreStats() topostore.Stats {
-	var agg topostore.Stats
+func (t *Trainer) TopoStoreStats() (agg topostore.Stats) {
 	for _, ts := range t.TopoStores() {
-		st := ts.Stats()
-		if agg.PageEdges == 0 {
-			agg.PageEdges, agg.Policy = st.PageEdges, st.Policy
-			agg.TopoBytes = st.TopoBytes
-		}
-		agg.Pages += st.Pages
-		agg.CacheBytes += st.CacheBytes
-		agg.Devices += st.Devices
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Evictions += st.Evictions
-		agg.PrefetchHits += st.PrefetchHits
-		agg.AdmissionRejects += st.AdmissionRejects
-		agg.ResidentBytes += st.ResidentBytes
+		agg.Add(ts.Stats())
 	}
 	return agg
 }
